@@ -65,7 +65,7 @@ class BatchMerged(SessionEvent):
 class MetricsUpdated(SessionEvent):
     """Periodic metrics-registry snapshot (dotted-name → value dict).
 
-    Serial runs emit one every ``sample_every`` completed paths;
+    Serial runs emit one after every completed path;
     parallel runs emit one per merged round (pool-wide worker totals).
     Every stream emits a final one just before :class:`RunFinished`.
     Unlike the path events, these are *progress* telemetry: their count

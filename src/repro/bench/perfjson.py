@@ -1,4 +1,4 @@
-"""Machine-readable perf trajectory: ``BENCH_pr10.json`` at the repo root.
+"""Machine-readable perf trajectory: ``BENCH_pr10.json``.
 
 Benchmarks call :func:`update_bench_json` with a section name and a
 payload; the file accumulates sections across benchmark runs
@@ -20,9 +20,11 @@ histograms of a traced run into a per-phase time breakdown (ship /
 merge / classify / worker compute), so the bench file says *where* a
 wall-clock number went, not just what it was.
 
-Set ``REPRO_BENCH_JSON`` to redirect the output — scaled-down smoke
-runs (CI, tight local budgets) should point it somewhere scratch so
-they don't clobber the committed full-workload numbers.
+Output goes to ``REPRO_BENCH_JSON`` when it is set, else to the
+gitignored ``.bench_out/BENCH_pr10.json``, so running the test suite
+never rewrites the committed ``BENCH_pr10.json`` at the repo root.  To
+refresh the committed numbers, point ``REPRO_BENCH_JSON`` at that file
+and run the full-workload benchmarks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, os.pardir)
 )
 
-DEFAULT_PATH = os.path.join(_REPO_ROOT, "BENCH_pr10.json")
+DEFAULT_PATH = os.path.join(_REPO_ROOT, ".bench_out", "BENCH_pr10.json")
 
 
 def run_metadata() -> Dict:
@@ -124,6 +126,7 @@ def update_bench_json(section: str, payload: Dict, path: Optional[str] = None) -
     write, so it describes the latest run that touched the file.
     """
     target = path or os.environ.get("REPRO_BENCH_JSON") or DEFAULT_PATH
+    os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
     document: Dict = {}
     try:
         with open(target, "r", encoding="utf-8") as handle:

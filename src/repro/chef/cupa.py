@@ -4,8 +4,9 @@ CUPA organises the pending-state queue into a hierarchy of partitions.
 Level *i* groups states by a classification function ``h_i``; selecting a
 state performs a random descent: pick a class at each level (uniformly by
 default, or by a per-level weight function), then pick a state in the
-reached leaf.  States from prolific fork sites therefore stop dominating
-selection: a class containing one state is as likely as one with hundreds.
+reached leaf (uniformly, or by an optional per-state weight).  States
+from prolific fork sites therefore stop dominating selection: a class
+containing one state is as likely as one with hundreds.
 """
 
 from __future__ import annotations
@@ -59,43 +60,24 @@ class CupaTree:
                 node = node.classes.setdefault(key, _Level())
         self._size += 1
 
-    def select(self) -> Optional[object]:
-        """Random descent; removes and returns the selected state."""
-        if self._size == 0:
-            return None
-        path: List[tuple] = []
-        node = self._root
-        for level_index in range(len(self._classifiers)):
-            keys = [k for k, v in node.classes.items() if _subtree_size(v) > 0]
-            if not keys:
-                return None
-            weight_fn = self._weight_fns[level_index]
-            if weight_fn is None:
-                key = self._rng.choice(sorted(keys, key=repr))
-            else:
-                ordered = sorted(keys, key=repr)
-                weights = [max(weight_fn(k, level_index), 1e-12) for k in ordered]
-                key = self._rng.choices(ordered, weights=weights, k=1)[0]
-            path.append((node, key))
-            node = node.classes[key]
-        leaf: List = node  # type: ignore[assignment]
-        state = leaf.pop(self._rng.randrange(len(leaf)))
-        self._size -= 1
-        self._prune(path)
-        return state
+    def select(
+        self, leaf_weight: Optional[Callable[[object], float]] = None
+    ) -> Optional[object]:
+        """Random descent; removes and returns the selected state.
 
-    def select_weighted_leaf(self, leaf_weight: Callable[[object], float]) -> Optional[object]:
-        """Like :meth:`select` but leaf states are weighted (fork weight)."""
+        Invariant: every class in the tree holds at least one state
+        (:meth:`add` creates classes only to fill them, and :meth:`_prune`
+        deletes a class the moment it empties), so each level draws
+        straight from its class keys.  The leaf state is drawn uniformly,
+        or in proportion to ``leaf_weight(state)`` when given.
+        """
         if self._size == 0:
             return None
         path: List[tuple] = []
         node = self._root
         for level_index in range(len(self._classifiers)):
-            keys = [k for k, v in node.classes.items() if _subtree_size(v) > 0]
-            if not keys:
-                return None
+            ordered = sorted(node.classes, key=repr)
             weight_fn = self._weight_fns[level_index]
-            ordered = sorted(keys, key=repr)
             if weight_fn is None:
                 key = self._rng.choice(ordered)
             else:
@@ -104,21 +86,27 @@ class CupaTree:
             path.append((node, key))
             node = node.classes[key]
         leaf: List = node  # type: ignore[assignment]
-        weights = [max(leaf_weight(s), 1e-12) for s in leaf]
-        index = self._rng.choices(range(len(leaf)), weights=weights, k=1)[0]
+        if leaf_weight is None:
+            index = self._rng.randrange(len(leaf))
+        else:
+            weights = [max(leaf_weight(s), 1e-12) for s in leaf]
+            index = self._rng.choices(range(len(leaf)), weights=weights, k=1)[0]
         state = leaf.pop(index)
         self._size -= 1
         self._prune(path)
         return state
 
     def _prune(self, path: List[tuple]) -> None:
+        """Delete the classes the last selection emptied, leaf upwards."""
         for node, key in reversed(path):
             child = node.classes[key]
-            if _subtree_size(child) == 0:
-                del node.classes[key]
+            empty = not child if isinstance(child, list) else not child.classes
+            if not empty:
+                return
+            del node.classes[key]
 
     def states(self) -> List[object]:
-        """All pending states (diagnostics)."""
+        """All pending states, read-only (diagnostics and checkpoints)."""
         result: List[object] = []
 
         def walk(node) -> None:
@@ -130,9 +118,3 @@ class CupaTree:
 
         walk(self._root)
         return result
-
-
-def _subtree_size(node) -> int:
-    if isinstance(node, list):
-        return len(node)
-    return sum(_subtree_size(child) for child in node.classes.values())

@@ -45,6 +45,12 @@ from repro.obs.telemetry import Telemetry
 from repro.solver.backend import SolverBackend
 from repro.solver.csp import make_default_solver
 
+#: serial runs sample the Fig. 10 timeline and emit a ``MetricsUpdated``
+#: event every this many completed low-level paths.
+_SAMPLE_EVERY = 1
+#: states shipped per worker per round in parallel mode.
+_WORKER_BATCH = 8
+
 
 @dataclass
 class RunResult:
@@ -347,7 +353,7 @@ class Chef:
         self._event_buffer.append(PathCompleted(case=case))
         if new_hl:
             self._event_buffer.append(TestCaseFound(case=case))
-        if self._ll_paths % max(self.config.sample_every, 1) == 0:
+        if self._ll_paths % _SAMPLE_EVERY == 0:
             self._timeline.append(
                 (case.wall_time, self.tree.distinct_paths(), self._ll_paths)
             )
@@ -416,7 +422,6 @@ class Chef:
         metrics_emitted = 0
         ckpt_last = self._ll_paths
         ckpt_every = max(config.checkpoint_every, 1)
-        sample_every = max(config.sample_every, 1)
         while True:
             exhausted = self._budget_reason()
             if exhausted is not None:
@@ -430,7 +435,7 @@ class Chef:
             for child in self.ll.run_path(candidate):
                 self.strategy.add(child)
             yield from self._flush_events()
-            if self._ll_paths - metrics_emitted >= sample_every:
+            if self._ll_paths - metrics_emitted >= _SAMPLE_EVERY:
                 metrics_emitted = self._ll_paths
                 yield MetricsUpdated(metrics=telemetry.metrics())
             if config.checkpoint_dir and self._ll_paths - ckpt_last >= ckpt_every:
@@ -471,22 +476,20 @@ class Chef:
     def _checkpoint_serial(self, store, cache, store_mark: int):
         """Serial-mode checkpoint: snapshot the live frontier and persist.
 
-        The strategy is drained and re-fed (selection RNG advances, so
-        post-checkpoint exploration *order* can differ from a
-        checkpoint-free run; exhaustive path sets do not).
+        The frontier is read in place (:meth:`SearchStrategy.pending`),
+        so exploration continues in the same order as a run without
+        checkpoints.
         """
         from repro.chef.hltree import HighLevelTree as _Tree
         from repro.parallel.snapshot import snapshot_states
 
         if store is not None:
             store.append_from(cache, store_mark)
-        states = self.strategy.drain()
+        states = self.strategy.pending()
         for live in states:
             live.meta["tree_node"] = live.meta.get("dyn_node", _Tree.ROOT)
         snaps = snapshot_states(states) if states else []
         self._save_checkpoint(snaps)
-        for live in states:
-            self.strategy.add(live)
         return self._flush_events()
 
     # -- parallel mode ---------------------------------------------------------
@@ -531,7 +534,7 @@ class Chef:
             config=exec_config,
             solver_budget=solver_budget,
             namespace=self.ll.namespace,
-            batch_size=config.worker_batch,
+            batch_size=_WORKER_BATCH,
             trace_hlpc=True,
             telemetry=self.telemetry,
             pool=self.worker_pool,
@@ -564,15 +567,12 @@ class Chef:
                 yield MetricsUpdated(metrics=explorer.merged_metrics())
                 if config.checkpoint_dir and rounds % ckpt_every == 0:
                     explorer.flush_cache_store()
-                    handles = self.strategy.drain()
-                    self._save_checkpoint([h.snapshot for h in handles])
-                    for handle in handles:
-                        self.strategy.add(handle)
+                    self._save_checkpoint([h.snapshot for h in self.strategy.pending()])
                     yield from self._flush_events()
                 exhausted = self._budget_reason()
                 if exhausted is not None:
                     break
-                batch = self._pop_pending_batch(config.workers * config.worker_batch)
+                batch = self._pop_pending_batch(config.workers * _WORKER_BATCH)
         yield from self._flush_events()
         if exhausted is not None:
             yield BudgetExhausted(reason=exhausted)

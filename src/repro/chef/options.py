@@ -97,13 +97,9 @@ class ChefConfig:
     )
     #: de-emphasis factor for earlier forks in coverage CUPA (§3.4).
     fork_weight_p: float = 0.75
-    #: sample interval (in completed ll paths) for the Fig. 10 time series.
-    sample_every: int = 1
     #: worker processes for frontier exploration (1 = classic in-process
     #: loop; >1 shards pending states across a parallel worker pool).
     workers: int = 1
-    #: states shipped per worker per round in parallel mode.
-    worker_batch: int = 8
     #: record tracing spans (Chrome-trace export, per-phase histograms).
     #: Metrics counters are always on; this gates only the tracer.
     trace: bool = False

@@ -33,19 +33,13 @@ class SearchStrategy:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def drain(self) -> list:
-        """Remove and return every pending item (checkpoint capture).
+    def pending(self) -> list:
+        """Every pending item, left in place (checkpoint capture).
 
-        Selection order is strategy/RNG dependent; callers that need the
-        frontier to survive re-``add`` each item afterwards.
+        Read-only: neither the frontier nor the selection RNG changes,
+        so a checkpointed run explores in the same order as one without.
         """
-        items = []
-        while True:
-            item = self.select()
-            if item is None:
-                break
-            items.append(item)
-        return items
+        raise NotImplementedError
 
 
 class RandomStrategy(SearchStrategy):
@@ -68,6 +62,9 @@ class RandomStrategy(SearchStrategy):
     def __len__(self) -> int:
         return len(self._states)
 
+    def pending(self) -> list:
+        return list(self._states)
+
 
 class PathCupaStrategy(SearchStrategy):
     """Path-optimized CUPA (§3.3)."""
@@ -89,6 +86,9 @@ class PathCupaStrategy(SearchStrategy):
 
     def __len__(self) -> int:
         return len(self._tree)
+
+    def pending(self) -> list:
+        return self._tree.states()
 
 
 class CoverageCupaStrategy(SearchStrategy):
@@ -124,10 +124,13 @@ class CoverageCupaStrategy(SearchStrategy):
         self._tree.add(state)
 
     def select(self) -> Optional[State]:
-        return self._tree.select_weighted_leaf(self._fork_weight)
+        return self._tree.select(self._fork_weight)
 
     def __len__(self) -> int:
         return len(self._tree)
+
+    def pending(self) -> list:
+        return self._tree.states()
 
 
 def make_strategy(

@@ -317,8 +317,6 @@ class ChefService:
             "max_hl_paths",
             "path_instr_budget",
             "solver_budget",
-            "sample_every",
-            "worker_batch",
             "unknown_policy",
             "quarantine_threshold",
             "checkpoint_dir",

@@ -12,9 +12,6 @@ Each set memoizes, per node and computed lazily:
 
 - the free-variable *name index* (union of the parent's index and the
   last atom's variables),
-- the partition of its atoms into independence *components* (connected
-  components of the atom/variable graph — atoms in different components
-  can be solved separately),
 - a *known model*: an assignment recorded by whoever proved or observed
   this exact set satisfiable (the concolic executor knows its concrete
   assignment satisfies every atom it appends; the solver records the
@@ -40,7 +37,7 @@ Atom = object  #: an Expr, or a concrete int (trivially true/false)
 class ConstraintSet:
     """One immutable node in a share-structure chain of atoms."""
 
-    __slots__ = ("parent", "atom", "_length", "_free", "_model", "_unsat", "_components")
+    __slots__ = ("parent", "atom", "_length", "_free", "_model", "_unsat")
 
     _EMPTY: Optional["ConstraintSet"] = None
 
@@ -51,7 +48,6 @@ class ConstraintSet:
         self._free: Optional[FrozenSet[str]] = None
         self._model: Optional[Dict[str, int]] = None
         self._unsat = False
-        self._components: Optional[List[Tuple[FrozenSet[str], Tuple[Atom, ...]]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -162,58 +158,6 @@ class ConstraintSet:
                 for var in atom.free_vars():
                     out.setdefault(var.name, (var.lo, var.hi))
         return out
-
-    # -- independence partitioning -------------------------------------------
-
-    def components(self) -> List[Tuple[FrozenSet[str], Tuple[Atom, ...]]]:
-        """Partition atoms into connected components of shared variables.
-
-        Returns ``[(names, atoms), ...]`` sorted smallest-first; atoms with
-        no free variables (concrete residues) are grouped under the empty
-        name set.  Memoized per node.
-        """
-        comps = self._components
-        if comps is None:
-            parent: Dict[str, str] = {}
-
-            def find(x: str) -> str:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            atom_list = self.atoms()
-            atom_names: List[List[str]] = []
-            for atom in atom_list:
-                if isinstance(atom, Expr):
-                    names = sorted(v.name for v in atom.free_vars())
-                else:
-                    names = []
-                atom_names.append(names)
-                for n in names:
-                    parent.setdefault(n, n)
-                for other in names[1:]:
-                    ra, rb = find(names[0]), find(other)
-                    if ra != rb:
-                        parent[rb] = ra
-
-            grouped: Dict[Optional[str], List[Atom]] = {}
-            members: Dict[Optional[str], set] = {}
-            for atom, names in zip(atom_list, atom_names):
-                root = find(names[0]) if names else None
-                grouped.setdefault(root, []).append(atom)
-                members.setdefault(root, set()).update(names)
-            comps = sorted(
-                (
-                    (frozenset(names), tuple(atoms))
-                    for names, atoms in (
-                        (members[root], grouped[root]) for root in grouped
-                    )
-                ),
-                key=lambda item: (len(item[0]), sorted(item[0])),
-            )
-            self._components = comps
-        return comps
 
     # -- known models ---------------------------------------------------------
 

@@ -4,8 +4,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.chef.cupa import CupaTree
+from repro.chef.cupa import CupaTree, _Level
 
 
 class FakeState:
@@ -98,9 +99,7 @@ class TestClassUniformity:
             light = FakeState(0, 0, "light")
             tree.add(heavy)
             tree.add(light)
-            picked = tree.select_weighted_leaf(
-                lambda s: 10.0 if s.name == "heavy" else 0.1
-            )
+            picked = tree.select(lambda s: 10.0 if s.name == "heavy" else 0.1)
             counts[picked.name] += 1
         assert counts["heavy"] > counts["light"] * 3
 
@@ -110,3 +109,119 @@ class TestClassUniformity:
         tree.select()
         tree.add(FakeState(2, 2, "b"))
         assert tree.select().name == "b"
+
+
+class _ReferenceTree:
+    """The filtering descent CUPA selection used before the never-empty
+    invariant: every level re-counts each class and skips empty ones.
+    Kept verbatim (RNG calls included) as the equivalence oracle."""
+
+    def __init__(self, classifiers, rng, weight_fns):
+        self._classifiers = classifiers
+        self._rng = rng
+        self._weight_fns = list(weight_fns)
+        self._root = _Level()
+        self._size = 0
+
+    def add(self, state):
+        node = self._root
+        for index, classify in enumerate(self._classifiers):
+            key = classify(state)
+            if index == len(self._classifiers) - 1:
+                node.classes.setdefault(key, []).append(state)
+            else:
+                node = node.classes.setdefault(key, _Level())
+        self._size += 1
+
+    def select(self, leaf_weight=None):
+        if self._size == 0:
+            return None
+        path = []
+        node = self._root
+        for level_index in range(len(self._classifiers)):
+            keys = [k for k, v in node.classes.items() if _subtree_size(v) > 0]
+            if not keys:
+                return None
+            weight_fn = self._weight_fns[level_index]
+            ordered = sorted(keys, key=repr)
+            if weight_fn is None:
+                key = self._rng.choice(ordered)
+            else:
+                weights = [max(weight_fn(k, level_index), 1e-12) for k in ordered]
+                key = self._rng.choices(ordered, weights=weights, k=1)[0]
+            path.append((node, key))
+            node = node.classes[key]
+        leaf = node
+        if leaf_weight is None:
+            index = self._rng.randrange(len(leaf))
+        else:
+            weights = [max(leaf_weight(s), 1e-12) for s in leaf]
+            index = self._rng.choices(range(len(leaf)), weights=weights, k=1)[0]
+        state = leaf.pop(index)
+        self._size -= 1
+        for node, key in reversed(path):
+            if _subtree_size(node.classes[key]) == 0:
+                del node.classes[key]
+        return state
+
+
+def _subtree_size(node):
+    if isinstance(node, list):
+        return len(node)
+    return sum(_subtree_size(child) for child in node.classes.values())
+
+
+def _has_empty_class(level) -> bool:
+    for child in level.classes.values():
+        if isinstance(child, list):
+            if not child:
+                return True
+        elif not child.classes or _has_empty_class(child):
+            return True
+    return False
+
+
+def _level_weight(key, level):
+    return 1.0 + sum(map(ord, repr(key))) % 7 + level
+
+
+def _leaf_weight(state):
+    return 0.0 if state.name % 5 == 0 else 1.0 + state.name % 3
+
+
+_keys = st.one_of(st.integers(0, 4), st.sampled_from(["a", "b", None, (1, 2)]))
+_ops = st.lists(
+    st.one_of(st.tuples(st.just("add"), _keys, _keys), st.just(("select",))),
+    max_size=60,
+)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=_ops,
+        seed=st.integers(0, 2**16),
+        level_weights=st.tuples(st.booleans(), st.booleans()),
+        leaf_weighted=st.booleans(),
+    )
+    def test_same_selections_as_filtering_descent(
+        self, ops, seed, level_weights, leaf_weighted
+    ):
+        weights = [_level_weight if on else None for on in level_weights]
+        leaf_weight = _leaf_weight if leaf_weighted else None
+        classifiers = [lambda s: s.cls_a, lambda s: s.cls_b]
+        tree = CupaTree(classifiers, random.Random(seed), weight_fns=weights)
+        reference = _ReferenceTree(classifiers, random.Random(seed), weights)
+        for name, op in enumerate(ops):
+            if op[0] == "add":
+                state = FakeState(op[1], op[2], name)
+                tree.add(state)
+                reference.add(state)
+            else:
+                assert tree.select(leaf_weight) is reference.select(leaf_weight)
+            assert len(tree) == reference._size
+            assert not _has_empty_class(tree._root)
+        while len(tree):
+            assert tree.select(leaf_weight) is reference.select(leaf_weight)
+            assert not _has_empty_class(tree._root)
+        assert reference.select(leaf_weight) is None

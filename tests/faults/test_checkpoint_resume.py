@@ -21,7 +21,7 @@ import pytest
 
 from repro.api.events import CheckpointSaved, RunFinished, TestCaseFound
 from repro.api.session import SymbolicSession
-from repro.bench.workloads import branchy_source
+from repro.bench.workloads import branchy_source, deep_traced_source
 from repro.chef.checkpoint import (
     checkpoint_path,
     has_checkpoint,
@@ -107,6 +107,28 @@ class TestCheckpointCadence:
         assert _found_multiset(resumed_events) == _found_multiset(base_events)
         assert resumed.result.ll_paths == baseline.result.ll_paths == 16
         assert resumed.metrics().get("checkpoint.resumes") == 1
+
+
+class TestCheckpointOrder:
+    @pytest.mark.parametrize("strategy", ["cupa-path", "cupa-cov", "random"])
+    def test_checkpoints_leave_exploration_order_unchanged(self, tmp_path, strategy):
+        """Capturing the frontier reads it in place, so the ordered
+        ``TestCaseFound`` stream equals the checkpoint-free run's."""
+        program = compile_program(deep_traced_source(5, prelude=4)).program
+
+        def found_inputs(**overrides):
+            config = ChefConfig(time_budget=120.0, strategy=strategy, seed=7, **overrides)
+            events = SymbolicSession.from_program(program, config).events()
+            return [
+                _case_key(e.case)[0] for e in events if isinstance(e, TestCaseFound)
+            ]
+
+        plain = found_inputs()
+        checkpointed = found_inputs(
+            checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=3
+        )
+        assert len(plain) == 32
+        assert checkpointed == plain
 
 
 def _campaign_child(ckpt_dir: str, depth: int) -> None:

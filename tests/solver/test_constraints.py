@@ -67,29 +67,6 @@ class TestIndexes:
         cs = ConstraintSet.from_atoms([mk_binop("gt", x, 4)])
         assert cs.domains() == {x.name: (3, 7)}
 
-    def test_components_split_independent_vars(self):
-        x, y, z = _vars("ccs_f", 3)
-        cs = ConstraintSet.from_atoms(
-            [mk_binop("gt", x, 1), mk_binop("lt", y, 9), mk_binop("eq", z, 4)]
-        )
-        comps = cs.components()
-        assert len(comps) == 3
-        assert sorted(len(atoms) for _, atoms in comps) == [1, 1, 1]
-
-    def test_components_merge_linked_vars(self):
-        x, y, z = _vars("ccs_g", 3)
-        link = mk_binop("lt", mk_binop("add", x, y), 100)
-        cs = ConstraintSet.from_atoms([link, mk_binop("eq", z, 4)])
-        comps = cs.components()
-        assert len(comps) == 2
-        names = sorted(sorted(n) for n, _ in comps)
-        assert names == [[x.name, y.name], [z.name]]
-
-    def test_components_memoized(self):
-        x, y = _vars("ccs_h", 2)
-        cs = ConstraintSet.from_atoms([mk_binop("gt", x, 1), mk_binop("lt", y, 9)])
-        assert cs.components() is cs.components()
-
 
 class TestModels:
     def test_split_at_model_finds_nearest_ancestor(self):

@@ -61,6 +61,32 @@ class TestSat:
         assert solver.solve([1, 0]) is None
 
 
+class TestSplitComponents:
+    """The solver's independence partitioner over normalised atoms."""
+
+    @staticmethod
+    def _split(atoms):
+        domains = {
+            v.name: (v.lo, v.hi) for atom in atoms for v in atom.free_vars()
+        }
+        return CspSolver._split_components(atoms, domains)
+
+    def test_split_independent_vars(self):
+        x, y, z = _vars("cs_sp_a", 3)
+        comps = self._split(
+            [mk_binop("gt", x, 1), mk_binop("lt", y, 9), mk_binop("eq", z, 4)]
+        )
+        assert len(comps) == 3
+        assert sorted(len(c.constraints) for c in comps) == [1, 1, 1]
+
+    def test_merge_linked_vars(self):
+        x, y, z = _vars("cs_sp_b", 3)
+        link = mk_binop("lt", mk_binop("add", x, y), 100)
+        comps = self._split([link, mk_binop("eq", z, 4)])
+        assert len(comps) == 2
+        assert sorted(c.names for c in comps) == [[x.name, y.name], [z.name]]
+
+
 class TestUnsat:
     def test_domain_violation(self):
         (x,) = _vars("cs_g", 1)
