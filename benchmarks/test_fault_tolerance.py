@@ -1,8 +1,7 @@
 """Fault-tolerance smoke benchmark: recovery counters per PR.
 
-Runs the three headline chaos scenarios at benchmark scale and emits
-their counters to ``BENCH_pr10.json`` (``fault_tolerance`` section), so
-the recovery story is tracked per PR alongside the perf trajectory:
+Runs the three headline chaos scenarios at benchmark scale and reports
+their recovery counters:
 
 - worker SIGKILL mid-round at ``workers=2`` — path multiset must equal
   the uninjected run, with ``recovery.requeued_chunks > 0``;
@@ -18,7 +17,6 @@ from collections import Counter
 
 from repro.api.events import CheckpointSaved, PathCompleted, TestCaseFound
 from repro.api.session import SymbolicSession
-from repro.bench.perfjson import update_bench_json
 from repro.bench.reporting import render_table
 from repro.bench.workloads import branchy_source
 from repro.chef.options import ChefConfig
@@ -27,7 +25,6 @@ from repro.faults import FaultPlan
 from repro.parallel.pool import close_shared_pools
 
 _BYTES = 4
-_PATHS = 2 ** _BYTES
 
 
 def _case_key(case):
@@ -117,33 +114,4 @@ def test_fault_tolerance_counters(report, tmp_path):
     report(
         "Fault tolerance: recovery counters (multiset-gated, no wall-clock)",
         render_table(["scenario / counter", "value"], rows),
-    )
-    update_bench_json(
-        "fault_tolerance",
-        {
-            "workload_paths": _PATHS,
-            "worker_kill": {
-                "ll_paths": injected.result.ll_paths,
-                "path_multiset_equal": True,
-                "worker_crashes": recovery.get("recovery.worker_crashes", 0),
-                "requeued_chunks": recovery.get("recovery.requeued_chunks", 0),
-                "quarantined_states": recovery.get(
-                    "recovery.quarantined_states", 0
-                ),
-            },
-            "checkpoint_resume": {
-                "ll_paths": resumed.result.ll_paths,
-                "testcase_multiset_equal": True,
-                "saves": ckpt_metrics.get("checkpoint.saves", 0),
-                "resumes": ckpt_metrics.get("checkpoint.resumes", 0),
-                "corrupt_frames_skipped": ckpt_metrics.get(
-                    "checkpoint.corrupt_frames_skipped", 0
-                ),
-            },
-            "deadline_storm": {
-                "ll_paths": wedged.result.ll_paths,
-                "deadline_unknowns": storm.get("solver.deadline_unknowns", 0),
-                "timeouts": storm.get("solver.timeouts", 0),
-            },
-        },
     )

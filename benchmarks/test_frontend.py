@@ -4,14 +4,11 @@ For each scenario package (parser / state machine / codec) this runs the
 whole pipeline — ast → TAC → CFG → LVM emission → symbolic exploration —
 and reports the lowering footprint (TAC instructions, CFG blocks, LVM
 instructions) next to the exploration counters (paths, solver queries)
-and the §6.6 differential verdict.  Everything lands in
-``BENCH_pr10.json`` under ``frontend`` so a lowering change that bloats
-the bytecode or multiplies solver queries shows up in the committed
-numbers.  Gates are counters and the differential check — never
-wall-clock.
+and the §6.6 differential verdict, so a lowering change that bloats the
+bytecode or multiplies solver queries shows up in the report.  Gates
+are counters and the differential check — never wall-clock.
 """
 
-from repro.bench.perfjson import update_bench_json
 from repro.bench.reporting import render_table
 from repro.chef.options import ChefConfig
 from repro.frontend import compile_pylite
@@ -25,13 +22,7 @@ def _lowering_counters(source: str) -> dict:
     blocks = sum(len(cfg.blocks) for cfg in compiled.cfgs.values())
     program = compiled.build_program()
     lvm_instrs = sum(len(f.instrs) for f in program.functions.values())
-    return {
-        "functions": len(compiled.module.functions),
-        "tac_instrs": tac_instrs,
-        "cfg_blocks": blocks,
-        "lvm_instrs": lvm_instrs,
-        "lvm_functions": len(program.functions),
-    }
+    return {"tac_instrs": tac_instrs, "cfg_blocks": blocks, "lvm_instrs": lvm_instrs}
 
 
 def test_frontend_packs(benchmark, settings, report):
@@ -53,7 +44,6 @@ def test_frontend_packs(benchmark, settings, report):
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     table = []
-    payload = {}
     for target, result, diff_reports in rows:
         lowering = _lowering_counters(target.source)
         mismatches = [r for r in diff_reports if not r.matches]
@@ -70,14 +60,6 @@ def test_frontend_packs(benchmark, settings, report):
                 f"{len(diff_reports) - len(mismatches)}/{len(diff_reports)}",
             ]
         )
-        payload[target.name] = {
-            "lowering": lowering,
-            "hl_paths": result.hl_paths,
-            "ll_paths": result.ll_paths,
-            "solver_queries": queries,
-            "differential_checked": len(diff_reports),
-            "differential_matched": len(diff_reports) - len(mismatches),
-        }
 
         # Hard gates: exploration found real paths and CPython agrees
         # on every single one of them (§6.6 analogue).
@@ -95,4 +77,3 @@ def test_frontend_packs(benchmark, settings, report):
             table,
         ),
     )
-    update_bench_json("frontend", payload)

@@ -28,7 +28,6 @@ import statistics
 import time
 import tracemalloc
 
-from repro.bench.perfjson import update_bench_json
 from repro.bench.reporting import render_table
 from repro.obs.telemetry import NULL_SPAN, Telemetry
 
@@ -131,18 +130,6 @@ def test_disabled_telemetry_overhead(benchmark, report):
                 ["budget", f"{_MAX_OVERHEAD * 100:.0f}%"],
             ],
         ),
-    )
-    update_bench_json(
-        "obs_disabled_overhead",
-        {
-            "paths": _PATHS,
-            "ops_per_path": _OPS_PER_PATH,
-            "pairs": _PAIRS,
-            "plain_median_s": round(plain, 6),
-            "instrumented_median_s": round(instrumented, 6),
-            "overhead_fraction": round(overhead, 4),
-            "budget_fraction": _MAX_OVERHEAD,
-        },
     )
 
     assert overhead <= _MAX_OVERHEAD, (

@@ -14,25 +14,23 @@ smoke job pins assertions to path sets and counter ratios for exactly
 that reason).
 
 A second, *traced* parallel run feeds :func:`phase_totals`, so the
-bench file reports where the parallel wall-clock goes — snapshot
+report shows where the parallel wall-clock goes — snapshot
 ship/decode/encode, delta merge, coordinator-side merge — next to the
 headline ratio.  ``test_classification_suffix_ratio`` runs the
 deep-traced workload (interpreter-startup-shaped trace prefix) through
 the full Chef pipeline and gates the O(since-restore-suffix) pending
 classification: tree steps must undercut full-trace replay ≥10×.
 
-Counters and timings are emitted to ``BENCH_pr10.json`` at the repo root
-(schema in ``docs/architecture.md``) so the perf trajectory is tracked
-per PR.  The stat dicts in the payload are prefix views of the obs
-metrics registry — the same numbers ``Session.metrics()`` reports —
-and wall-clock ratios go through :func:`speedup_summary`, which labels
-sub-1× runs "overhead-bound" instead of calling them a speedup.
+The stat dicts are prefix views of the obs metrics registry — the
+same numbers ``Session.metrics()`` reports — and wall-clock ratios go
+through :func:`speedup_summary`, which labels sub-1× runs
+"overhead-bound" instead of calling them a speedup.
 """
 
 import os
 
 from repro.api.session import SymbolicSession
-from repro.bench.perfjson import phase_totals, speedup_summary, update_bench_json
+from repro.bench.perfjson import phase_totals, speedup_summary
 from repro.bench.reporting import render_table
 from repro.bench.workloads import branchy_source, deep_traced_source
 from repro.chef.options import ChefConfig
@@ -122,36 +120,6 @@ def test_parallel_speedup(benchmark, report):
         render_table(["metric", "value"], rows),
     )
 
-    update_bench_json(
-        "parallel_speedup",
-        {
-            "workload": {"kind": "branchy", "bytes": _BYTES, "paths": len(serial.records)},
-            "serial": {
-                "wall_time_s": round(serial.wall_time, 4),
-                "solver_stats": serial.solver_stats,
-            },
-            "parallel": {
-                "workers": _WORKERS,
-                "batches": parallel.batches,
-                "wall_time_s": round(parallel.wall_time, 4),
-                "solver_stats": parallel.solver_stats,
-                "cache_stats": parallel.cache_stats,
-                "coordinator_cache": parallel.coordinator_cache,
-            },
-            "pool": {
-                "spawns": pool.spawns,
-                "program_ships": pool.program_ships,
-                "configures": pool.configures,
-            },
-            "phases_traced_run": {
-                "coordinator": coordinator_phases,
-                "workers": worker_phases,
-            },
-            "speedup_summary": summary,
-            "path_sets_identical": serial.path_set() == parallel.path_set(),
-        },
-    )
-
     # Portable acceptance bar: identical exploration + real cross-worker
     # cache flow + ship-once pooling, regardless of host core count.
     assert len(serial.records) == 1 << _BYTES, len(serial.records)
@@ -213,23 +181,6 @@ def test_classification_suffix_ratio(report):
         f"O(suffix) pending classification on the {_BYTES}-byte deep-traced "
         f"guest ({_WORKERS} workers)",
         render_table(["metric", "value"], rows),
-    )
-
-    update_bench_json(
-        "classification_suffix",
-        {
-            "workload": {
-                "kind": "deep-traced",
-                "bytes": _BYTES,
-                "paths": result.ll_paths,
-            },
-            "workers": _WORKERS,
-            "classify_states": states,
-            "classify_steps": steps,
-            "classify_full_trace": full,
-            "reduction_ratio": round(ratio, 2),
-            "ingest_steps": metrics.get("coordinator.ingest_steps", 0),
-        },
     )
 
     assert result.ll_paths == 1 << _BYTES, result.ll_paths

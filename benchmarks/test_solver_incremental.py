@@ -11,7 +11,6 @@ sliced atoms and component-cache hits — and reports the counters so the
 perf trajectory is visible per PR.
 """
 
-from repro.bench.perfjson import update_bench_json
 from repro.bench.reporting import render_table
 from repro.bench.workloads import branchy_source
 from repro.clay import compile_program
@@ -58,14 +57,6 @@ def test_solver_incremental_reuse(benchmark, report):
         f"Incremental solving on a {_BYTES}-byte branchy guest "
         f"({paths} paths explored)",
         render_table(["counter", "value"], rows),
-    )
-    update_bench_json(
-        "solver_incremental",
-        {
-            "workload": {"kind": "branchy", "bytes": _BYTES, "paths": paths},
-            "solver_stats": stats,
-            "cache_stats": cache_stats,
-        },
     )
 
     assert paths == 1 << _BYTES, f"expected full exploration, got {paths}"

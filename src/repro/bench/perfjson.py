@@ -1,14 +1,4 @@
-"""Machine-readable perf trajectory: ``BENCH_pr10.json``.
-
-Benchmarks call :func:`update_bench_json` with a section name and a
-payload; the file accumulates sections across benchmark runs
-(read-modify-write), so one pytest invocation of the benchmark suite
-leaves a single JSON document tracking solver and parallel-exploration
-counters per PR.  The schema is documented in ``docs/architecture.md``.
-
-The envelope carries a ``meta`` block (:func:`run_metadata`: git sha,
-python version, UTC timestamp, host core count) so a committed number
-can always be traced back to the tree and machine that produced it.
+"""Bench report helpers: honest speedup labels and per-phase totals.
 
 Parallel wall-clock ratios go through :func:`speedup_summary`, which
 reports ``wall_time_s`` per worker count and labels each ratio —
@@ -17,53 +7,14 @@ cores can't actually run the workers concurrently, the measurement is
 IPC + snapshot-codec overhead, and calling it a speedup misled every
 reader of the pr4-era files.  :func:`phase_totals` turns the span
 histograms of a traced run into a per-phase time breakdown (ship /
-merge / classify / worker compute), so the bench file says *where* a
+merge / classify / worker compute), so a bench report says *where* a
 wall-clock number went, not just what it was.
-
-Output goes to ``REPRO_BENCH_JSON`` when it is set, else to the
-gitignored ``.bench_out/BENCH_pr10.json``, so running the test suite
-never rewrites the committed ``BENCH_pr10.json`` at the repo root.  To
-refresh the committed numbers, point ``REPRO_BENCH_JSON`` at that file
-and run the full-workload benchmarks.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import subprocess
-import time
-from typing import Dict, Optional
-
-SCHEMA = "repro-bench/pr10"
-
-#: Repo root (this file lives at src/repro/bench/perfjson.py).
-_REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, os.pardir)
-)
-
-DEFAULT_PATH = os.path.join(_REPO_ROOT, ".bench_out", "BENCH_pr10.json")
-
-
-def run_metadata() -> Dict:
-    """Provenance of a bench run: git sha, python, timestamp, cores."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
-    return {
-        "git_sha": sha,
-        "python": platform.python_version(),
-        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cpu_count": os.cpu_count(),
-    }
+from typing import Dict
 
 
 def speedup_summary(serial_wall_s: float, parallel_wall_s: Dict[int, float]) -> Dict:
@@ -102,7 +53,7 @@ def phase_totals(metrics: Dict) -> Dict:
 
     Span histograms land in the registry as ``span.<name>`` dicts with
     ``count``/``sum``; this flattens them to ``{name: {count,
-    total_s}}`` so the bench JSON can report where the wall-clock of a
+    total_s}}`` so a bench report can say where the wall-clock of a
     traced run actually went (snapshot shipping vs merge vs
     classification vs in-worker compute).  Pass the coordinator-side
     snapshot and the merged worker snapshot separately — their lanes
@@ -118,39 +69,4 @@ def phase_totals(metrics: Dict) -> Dict:
     return out
 
 
-def update_bench_json(section: str, payload: Dict, path: Optional[str] = None) -> str:
-    """Merge ``payload`` under ``section`` in the bench JSON; returns path.
-
-    Unknown or corrupt existing content is replaced rather than crashing
-    the benchmark that reports into it.  ``meta`` is restamped on every
-    write, so it describes the latest run that touched the file.
-    """
-    target = path or os.environ.get("REPRO_BENCH_JSON") or DEFAULT_PATH
-    os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
-    document: Dict = {}
-    try:
-        with open(target, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-        if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-            document = existing
-    except (OSError, ValueError):
-        pass
-    document["schema"] = SCHEMA
-    document["meta"] = run_metadata()
-    document.pop("cpu_count", None)  # pr4 field, now inside meta
-    sections = document.setdefault("sections", {})
-    sections[section] = payload
-    with open(target, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
-
-
-__all__ = [
-    "DEFAULT_PATH",
-    "SCHEMA",
-    "phase_totals",
-    "run_metadata",
-    "speedup_summary",
-    "update_bench_json",
-]
+__all__ = ["phase_totals", "speedup_summary"]

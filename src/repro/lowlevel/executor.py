@@ -34,7 +34,7 @@ from repro.lowlevel.expr import (
 )
 from repro.lowlevel.machine import MachineState, Status
 from repro.lowlevel.program import Opcode, Program
-from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.solver.backend import SolverBackend
 from repro.solver.constraints import ConstraintSet
@@ -213,7 +213,7 @@ class State:
         )
 
 
-#: Counter fields, registered as ``engine.<field>`` in the obs registry.
+#: Counter fields, reported as ``engine.<field>`` by the obs registry.
 _ENGINE_STAT_FIELDS = (
     "paths_completed",
     "forks",
@@ -228,24 +228,20 @@ _ENGINE_STAT_FIELDS = (
 
 
 class EngineStats:
-    """Execution counters — an attribute view over ``engine.*`` registry
-    counters (see :mod:`repro.obs.metrics`), so the engine, benchmarks
-    and ``Session.metrics()`` all read one store."""
+    """Execution counters: plain ``int`` attributes, attached to the obs
+    registry as ``engine.*`` (see :mod:`repro.obs.metrics`), so the
+    engine, benchmarks and ``Session.metrics()`` all read one store."""
+
+    __slots__ = ("registry",) + _ENGINE_STAT_FIELDS
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            field: self.registry.counter(f"engine.{field}")
-            for field in _ENGINE_STAT_FIELDS
-        }
+        for field in _ENGINE_STAT_FIELDS:
+            setattr(self, field, 0)
+        self.registry.attach("engine", self, _ENGINE_STAT_FIELDS)
 
     def as_dict(self) -> Dict[str, int]:
-        return {field: counter.value for field, counter in self._counters.items()}
-
-
-for _engine_field in _ENGINE_STAT_FIELDS:
-    setattr(EngineStats, _engine_field, counter_property(_engine_field))
-del _engine_field
+        return {field: getattr(self, field) for field in _ENGINE_STAT_FIELDS}
 
 
 class LowLevelEngine:
@@ -478,6 +474,7 @@ class LowLevelEngine:
         pending: List[State] = []
         budget = max_instrs if max_instrs is not None else self.config.max_instrs_per_path
         machine = state.machine
+        start = state.instr_count
         try:
             self._exec_loop(state, pending, budget)
         except GuestFault as fault:
@@ -486,6 +483,11 @@ class LowLevelEngine:
         except ZeroDivisionError:
             machine.status = Status.FAULT
             state.fault_message = "division by zero"
+        finally:
+            # Counted once per path, not per instruction: every exit of
+            # the dispatch loop (halt, fault, budget, deadline, or an
+            # exception propagating out) has bumped ``instr_count``.
+            self.stats.instrs_executed += state.instr_count - start
         if machine.status in Status.TERMINAL:
             self.stats.paths_completed += 1
             if self.on_path_end:
@@ -517,7 +519,6 @@ class LowLevelEngine:
             op = ins.op
             regs = frame.regs
             state.instr_count += 1
-            self.stats.instrs_executed += 1
 
             if op == Opcode.BIN:
                 va = regs[ins.a]

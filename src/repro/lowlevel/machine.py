@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import GuestFault
 from repro.lowlevel.cow import CowMap
@@ -129,8 +129,3 @@ class MachineState:
     def write_words(self, addr: int, values) -> None:
         for i, v in enumerate(values):
             self.mem_write(addr + i, v)
-
-    def snapshot_regs(self) -> Dict[str, List]:
-        """Debugging helper: register contents per frame."""
-        return {f"{i}:{frame.func.name}": list(frame.regs)
-                for i, frame in enumerate(self.frames)}

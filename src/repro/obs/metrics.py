@@ -2,13 +2,16 @@
 
 This is the data half of the observability subsystem (the span tracer
 lives in :mod:`repro.obs.telemetry`).  A :class:`MetricsRegistry` owns
-every metric of one engine context; the ad-hoc counter dicts that used
-to be hand-rolled in ``solver/csp.py`` (``SolverStats``),
-``solver/cache.py`` (``ModelCache``) and ``lowlevel/executor.py``
-(``EngineStats``) are now thin attribute views over registry counters,
-so *one* registry holds the numbers every layer reports — benchmarks,
-``Session.metrics()`` and the parallel coordinator all read the same
-store instead of re-plumbing their own dicts.
+every metric of one engine context.  The per-layer stats holders
+(``SolverStats`` in ``solver/csp.py``, ``EngineStats`` in
+``lowlevel/executor.py`` and the :class:`~repro.solver.cache.ModelCache`
+counters) keep plain ``int`` attributes that the hot paths bump
+directly.  Each holder registers itself once with
+:meth:`~MetricsRegistry.attach`, and :meth:`~MetricsRegistry.snapshot`
+reads the attributes when it is taken.  So *one* registry reports the
+numbers of every layer — benchmarks, ``Session.metrics()`` and the
+parallel coordinator all read the same snapshots instead of
+re-plumbing their own dicts.
 
 Naming convention: dotted ``<component>.<counter>`` names
 (``solver.queries``, ``cache.hits``, ``engine.forks``,
@@ -26,14 +29,13 @@ can depend on it without cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter_property",
     "merge_snapshots",
     "split_prefixed",
 ]
@@ -124,11 +126,15 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` create on first use and return
     the existing instance afterwards (asking for a name under a
-    different type raises — a name means one thing).
+    different type raises — a name means one thing).  Stats holders
+    with plain ``int`` attributes :meth:`attach` instead, and are read
+    at :meth:`snapshot` time.
     """
 
     def __init__(self):
         self._metrics: Dict[str, object] = {}
+        #: prefix → (object, attribute names) read by snapshot().
+        self._attached: Dict[str, Tuple[object, Tuple[str, ...]]] = {}
 
     def _get(self, name: str, cls, *args):
         metric = self._metrics.get(name)
@@ -150,25 +156,27 @@ class MetricsRegistry:
     def histogram(self, name: str, keep_slowest: int = 0) -> Histogram:
         return self._get(name, Histogram, keep_slowest)
 
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
+    def attach(self, prefix: str, obj, fields: Sequence[str]) -> None:
+        """Report ``obj.<field>`` as ``<prefix>.<field>`` in every snapshot.
 
-    def reset(self) -> None:
-        """Zero every metric in place (handles stay valid)."""
-        for metric in self._metrics.values():
-            if isinstance(metric, Histogram):
-                metric.count = 0
-                metric.total = 0.0
-                metric.min = None
-                metric.max = None
-                metric.slowest.clear()
-            else:
-                metric.value = 0
+        The attributes are read when :meth:`snapshot` runs, so the
+        owner keeps bumping plain ints on its hot paths.  A prefix
+        names one object: attaching a second one under it raises.
+        """
+        held = self._attached.get(prefix)
+        if held is not None:
+            raise TypeError(
+                f"prefix {prefix!r} already attached to {type(held[0]).__name__}"
+            )
+        self._attached[prefix] = (obj, tuple(fields))
 
     def snapshot(self) -> Dict:
-        """Flat JSON-able view: numbers for counters/gauges, dicts for
-        histograms."""
+        """Flat JSON-able view: numbers for counters/gauges and attached
+        attributes, dicts for histograms."""
         out: Dict = {}
+        for prefix, (obj, fields) in self._attached.items():
+            for field in fields:
+                out[f"{prefix}.{field}"] = getattr(obj, field)
         for name, metric in self._metrics.items():
             if isinstance(metric, Histogram):
                 out[name] = metric.snapshot()
@@ -210,8 +218,8 @@ def split_prefixed(snapshot: Dict, prefix: str) -> Dict:
     """Legacy per-component dict from a flat snapshot.
 
     ``split_prefixed(snap, "solver")`` returns ``{"queries": ..., ...}``
-    — exactly the shape ``SolverStats.as_dict()`` always reported, so
-    benchmark JSON and CI gates consume the registry's numbers verbatim.
+    — exactly the shape ``SolverStats.as_dict()`` reports, so
+    benchmarks and CI gates consume the registry's numbers verbatim.
     """
     dot = prefix + "."
     return {
@@ -220,21 +228,3 @@ def split_prefixed(snapshot: Dict, prefix: str) -> Dict:
         if name.startswith(dot) and not isinstance(value, dict)
     }
 
-
-def counter_property(field: str) -> property:
-    """Attribute view over ``self._counters[field]``.
-
-    The stats classes (``SolverStats``, ``EngineStats``) and
-    :class:`~repro.solver.cache.ModelCache` keep their historical
-    ``stats.queries``-style attributes; reads return the plain int and
-    writes (including ``+=``) update the registry counter, so existing
-    call sites and tests keep working against the one true store.
-    """
-
-    def _get(self):
-        return self._counters[field].value
-
-    def _set(self, value):
-        self._counters[field].value = value
-
-    return property(_get, _set)

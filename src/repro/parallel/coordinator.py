@@ -104,14 +104,6 @@ from repro.solver.cache import ModelCache, PersistentCacheStore
 from repro.solver.constraints import ConstraintSet
 from repro.solver.csp import DEFAULT_BUDGET
 
-#: legacy stat-dict name → metric-name prefix in the merged snapshot.
-_STAT_PREFIXES = {
-    "engine_stats": "engine",
-    "solver_stats": "solver",
-    "cache_stats": "cache",
-}
-
-
 @dataclass(frozen=True)
 class _WorkerSlice:
     """The slice of a :class:`WorkerResult` kept for stat aggregation.
@@ -716,14 +708,6 @@ class ParallelExplorer:
             self._metric_bases
             + [worker.metrics for worker in self._latest_by_pid.values()]
         )
-
-    def aggregate(self, kind: str) -> Dict[str, int]:
-        """Legacy counter-dict view of :meth:`merged_metrics`.
-
-        ``kind`` is one of ``engine_stats`` / ``solver_stats`` /
-        ``cache_stats`` — the prefix-split slice of the merged snapshot.
-        """
-        return split_prefixed(self.merged_metrics(), _STAT_PREFIXES[kind])
 
     def states_created(self) -> int:
         """Distinct states ever created across the pool, boot included.

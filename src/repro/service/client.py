@@ -90,16 +90,6 @@ class ServiceClient:
             if pause > 0:
                 time.sleep(pause)
 
-    def _connect_retry(self):
-        """Connect with backoff; raises the last error when out of tries."""
-        for _attempt, give_up in self._attempts():
-            try:
-                return self._connect()
-            except _RETRYABLE:
-                if give_up:
-                    raise
-        raise ServiceError("retry budget exhausted")  # not reachable
-
     def _simple(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One-shot op: send the request, return the single reply line.
 

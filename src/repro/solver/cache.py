@@ -35,7 +35,7 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lowlevel.expr import Expr, fingerprint
-from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.obs.metrics import MetricsRegistry
 
 #: Sentinel stored (and returned) for unsatisfiable entries.
 UNSAT = "unsat"
@@ -45,7 +45,7 @@ HIT_EXACT = "exact"
 HIT_SUBSET_UNSAT = "subset-unsat"
 HIT_SUPERSET_SAT = "superset-sat"
 
-#: Counter fields, registered as ``cache.<field>`` in the obs registry.
+#: Counter fields, reported as ``cache.<field>`` by the obs registry.
 _COUNTER_FIELDS = (
     "hits",
     "subset_hits",
@@ -63,10 +63,10 @@ _COUNTER_FIELDS = (
 class ModelCache:
     """Memoises per-component verdicts and recent satisfying models.
 
-    Counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    under ``cache.*`` names (pass ``registry`` to share an engine
-    context's registry; the historical ``cache.hits``-style attributes
-    remain as live views).
+    Counters are plain ``int`` attributes (``cache.hits`` etc.),
+    attached to a :class:`~repro.obs.metrics.MetricsRegistry` as
+    ``cache.*`` together with ``cache.entries`` (pass ``registry`` to
+    share an engine context's registry).
     """
 
     def __init__(
@@ -84,10 +84,9 @@ class ModelCache:
         self._max_models = max_models
         self._scan_limit = scan_limit
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            field: self.registry.counter(f"cache.{field}") for field in _COUNTER_FIELDS
-        }
-        self._g_entries = self.registry.gauge("cache.entries")
+        for field in _COUNTER_FIELDS:
+            setattr(self, field, 0)
+        self.registry.attach("cache", self, _COUNTER_FIELDS + ("entries",))
         # -- cross-process delta protocol ----------------------------------
         #: append-only journal of portable entries: (fingerprint key,
         #: atom tuple, result).  Atoms re-intern on unpickle, so a journal
@@ -191,7 +190,6 @@ class ModelCache:
                 if fp_key is not None:
                     self._known_fps.discard(fp_key)
                 self._merged_keys.discard(evicted_key)
-            self._g_entries.value = len(self._entries)
             if is_new and atoms is not None:
                 self._journal_entry(key, tuple(atoms), result)
             if isinstance(result, dict):
@@ -281,13 +279,17 @@ class ModelCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def entries(self) -> int:
+        """Live entry count, reported as ``cache.entries``."""
+        return len(self._entries)
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._recent_models.clear()
-            for counter in self._counters.values():
-                counter.value = 0
-            self._g_entries.value = 0
+            for field in _COUNTER_FIELDS:
+                setattr(self, field, 0)
             self._journal.clear()
             self._journal_base = 0
             self._known_fps.clear()
@@ -296,15 +298,8 @@ class ModelCache:
             self._persistent_fps.clear()
 
     def stats_dict(self) -> Dict[str, int]:
-        """Legacy counter-dict view of the ``cache.*`` registry metrics."""
-        stats = {field: counter.value for field, counter in self._counters.items()}
-        stats["entries"] = len(self._entries)
-        return stats
-
-
-for _field in _COUNTER_FIELDS:
-    setattr(ModelCache, _field, counter_property(_field))
-del _field
+        """Counter-dict view of the ``cache.*`` registry metrics."""
+        return {field: getattr(self, field) for field in _COUNTER_FIELDS + ("entries",)}
 
 
 #: largest frame a store will attempt to read back — a length prefix

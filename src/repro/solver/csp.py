@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SolverDeadline, SolverTimeout
-from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.lowlevel.expr import (
     BinExpr,
@@ -63,7 +63,7 @@ DEFAULT_MAX_CAP = 1 << 20
 Constraints = Union[ConstraintSet, Sequence]
 
 
-#: Counter fields, registered as ``solver.<field>`` in the obs registry.
+#: Counter fields, reported as ``solver.<field>`` by the obs registry.
 #: ``incremental_hits`` counts queries answered (fully or partly) from a
 #: known ancestor model; ``component_cache_hits`` counts components
 #: resolved from the engine-wide model cache; ``atoms_sliced`` counts
@@ -92,25 +92,22 @@ _DEADLINE_STRIDE = 128
 class SolverStats:
     """Counters accumulated across queries (reported by benchmarks).
 
-    A live attribute view over ``solver.*`` counters in an obs
-    :class:`~repro.obs.metrics.MetricsRegistry` — the same store that
-    backs ``Session.metrics()`` and the bench JSON, so there is exactly
-    one set of numbers.
+    Plain ``int`` attributes, attached to an obs
+    :class:`~repro.obs.metrics.MetricsRegistry` as ``solver.*`` — the
+    registry that backs ``Session.metrics()``, so there is exactly one
+    set of numbers.
     """
+
+    __slots__ = ("registry",) + _STAT_FIELDS
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            field: self.registry.counter(f"solver.{field}") for field in _STAT_FIELDS
-        }
+        for field_name in _STAT_FIELDS:
+            setattr(self, field_name, 0)
+        self.registry.attach("solver", self, _STAT_FIELDS)
 
     def as_dict(self) -> Dict[str, int]:
-        return {field: counter.value for field, counter in self._counters.items()}
-
-
-for _field in _STAT_FIELDS:
-    setattr(SolverStats, _field, counter_property(_field))
-del _field
+        return {field_name: getattr(self, field_name) for field_name in _STAT_FIELDS}
 
 
 @dataclass

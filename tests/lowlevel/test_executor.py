@@ -230,3 +230,60 @@ class TestSymbolicExecution:
         e1.run_path(s1)
         e2.run_path(s2)
         assert s1.input_values().keys() == s2.input_values().keys() == {"b0"}
+
+
+class TestInstructionCount:
+    """``engine.instrs_executed`` is added once per executed path, and
+    every exit of the dispatch loop counts exactly."""
+
+    @staticmethod
+    def _assert_counted(engine, executed):
+        assert executed > 0
+        assert engine.stats.instrs_executed == executed
+        assert engine.telemetry.metrics()["engine.instrs_executed"] == executed
+
+    @pytest.mark.parametrize(
+        "source, max_instrs, status",
+        [
+            ("fn main() { out(1); }", None, Status.HALTED),
+            # guest call-stack overflow raises GuestFault deep in the loop
+            ("fn f(n) { return f(n); } fn main() { out(f(1)); }", None, Status.FAULT),
+            ("fn main() { var z = load(50); out(1 / z); end_symbolic(); }", None, Status.FAULT),
+            ("fn main() { while (1) { } }", 1000, Status.BUDGET_EXCEEDED),
+        ],
+        ids=["halt", "guest-fault", "division-by-zero", "budget"],
+    )
+    def test_every_exit_counts_exactly(self, source, max_instrs, status):
+        engine = _engine(source)
+        state = engine.new_state()
+        engine.run_path(state, max_instrs=max_instrs)
+        assert state.status == status
+        self._assert_counted(engine, state.instr_count)
+
+    def test_exception_out_of_the_loop_counts(self):
+        engine = _engine("fn main() { out(1); event(1, 2, 3); out(2); end_symbolic(); }")
+
+        def failing_hook(state, event):
+            raise RuntimeError("listener failed")
+
+        engine.on_event = failing_hook
+        state = engine.new_state()
+        with pytest.raises(RuntimeError):
+            engine.run_path(state)
+        self._assert_counted(engine, state.instr_count)
+
+    def test_sum_of_per_path_deltas(self):
+        engine = _engine(_BRANCHY)
+        executed = 0
+        queue = [engine.new_state()]
+        paths = 0
+        while queue:
+            state = queue.pop()
+            if paths and engine.activate(state) != "sat":
+                continue
+            before = state.instr_count
+            queue.extend(engine.run_path(state))
+            executed += state.instr_count - before
+            paths += 1
+        assert paths == 3
+        self._assert_counted(engine, executed)

@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter_property,
     merge_snapshots,
     split_prefixed,
 )
@@ -71,16 +70,47 @@ class TestRegistry:
         registry.counter("solver.queries").inc()
         assert snap["solver.queries"] == 3  # snapshot is a copy
 
-    def test_reset_zeroes_everything(self):
+
+class TestAttach:
+    def test_snapshot_reads_attached_attributes_when_taken(self):
+        class Stats:
+            def __init__(self):
+                self.queries = 0
+                self.sat = 0
+
         registry = MetricsRegistry()
-        registry.counter("c").inc(9)
-        registry.gauge("g").set(9)
-        registry.histogram("h").observe(9.0)
-        registry.reset()
-        snap = registry.snapshot()
-        assert snap["c"] == 0
-        assert snap["g"] == 0
-        assert snap["h"]["count"] == 0
+        stats = Stats()
+        registry.attach("solver", stats, ("queries", "sat"))
+        stats.queries += 3
+        before = registry.snapshot()
+        stats.queries += 1
+        stats.sat = 2
+        after = registry.snapshot()
+        assert before == {"solver.queries": 3, "solver.sat": 0}  # detached copy
+        assert after == {"solver.queries": 4, "solver.sat": 2}
+
+    def test_duplicate_prefix_raises(self):
+        registry = MetricsRegistry()
+        registry.attach("engine", object(), ())
+        with pytest.raises(TypeError):
+            registry.attach("engine", object(), ())
+
+    def test_session_metrics_report_every_attached_field(self):
+        from repro.api import Session
+        from repro.lowlevel.executor import _ENGINE_STAT_FIELDS
+        from repro.solver.cache import _COUNTER_FIELDS
+        from repro.solver.csp import _STAT_FIELDS
+
+        session = Session("pylite", 's = sym_string("ab")\nif s[0] == "a":\n    print(1)\n')
+        session.run()
+        names = set(session.metrics())
+        expected = (
+            {f"engine.{field}" for field in _ENGINE_STAT_FIELDS}
+            | {f"solver.{field}" for field in _STAT_FIELDS}
+            | {f"cache.{field}" for field in _COUNTER_FIELDS}
+            | {"cache.entries"}
+        )
+        assert expected <= names
 
 
 class TestSnapshotAlgebra:
@@ -106,21 +136,3 @@ class TestSnapshotAlgebra:
         snap = {"solver.queries": 5, "cache.hits": 2, "engine.forks": 1}
         assert split_prefixed(snap, "solver") == {"queries": 5}
         assert split_prefixed(snap, "cache") == {"hits": 2}
-
-
-class TestCounterProperty:
-    def test_property_views_read_and_write_the_registry(self):
-        class Stats:
-            def __init__(self, registry):
-                self._counters = {"queries": registry.counter("solver.queries")}
-
-        Stats.queries = counter_property("queries")
-        registry = MetricsRegistry()
-        stats = Stats(registry)
-        stats.queries += 3
-        # Reads are plain ints, so before/after comparisons don't alias.
-        before = stats.queries
-        stats.queries += 1
-        assert before == 3
-        assert stats.queries == 4
-        assert registry.snapshot()["solver.queries"] == 4
